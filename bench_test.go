@@ -322,26 +322,17 @@ func BenchmarkAccessPath(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessPathMultiHost pins the sequential-versus-PDES throughput
-// contrast at 4 and 64 hosts: the "seq" sub-benchmarks run the classic
-// single-heap engine, "pdes" the partitioned windowed engine. Both must
-// produce bit-identical Results (checked every iteration); the records/s
-// metrics land in BENCH_quick.json via the cmd/experiments -json
-// -intra-parallel path. The 64-host pair runs the sharded directory and the
-// full-width sharer bitmask with per-core records scaled down so total
-// trace volume matches the 4-host pair's. On a single-core runner the PDES
-// numbers trail sequential — the prepare pool only pays for itself when
-// GOMAXPROCS allows the per-host fills to overlap (DESIGN.md §13.5).
+// BenchmarkAccessPathMultiHost measures multi-host simulation throughput
+// (records/s) at 4 and 64 hosts on pr/PIPM. Every iteration must reproduce
+// the first run's Result exactly. The 64-host point runs the sharded
+// directory and the full-width sharer bitmask, with per-core records scaled
+// down so total trace volume matches the 4-host point's.
 func BenchmarkAccessPathMultiHost(b *testing.B) {
 	o := benchOptions()
 	wl, _ := pipm.WorkloadByName("pr")
 	for _, hosts := range []int{4, 64} {
 		cfg := pipm.ScaleForHosts(o.Cfg, hosts)
 		records := pipm.ClusterScaleRecords(20_000, 4, hosts)
-		workers := hosts
-		if workers > 8 {
-			workers = 8
-		}
 		total := func(n int) float64 {
 			return float64(records) * float64(cfg.Hosts*cfg.CoresPerHost) * float64(n)
 		}
@@ -357,18 +348,6 @@ func BenchmarkAccessPathMultiHost(b *testing.B) {
 				}
 				if res != want {
 					b.Fatal("sequential run diverged from itself")
-				}
-			}
-			b.ReportMetric(total(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
-		b.Run(fmt.Sprintf("pdes-%dh", hosts), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := pipm.RunIntra(cfg, wl, pipm.PIPM, records, o.Seed, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res != want {
-					b.Fatal("PDES run is not bit-identical to the sequential engine")
 				}
 			}
 			b.ReportMetric(total(b.N)/b.Elapsed().Seconds(), "records/s")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"pipm/internal/audit"
 	"pipm/internal/config"
 	"pipm/internal/machine"
 	"pipm/internal/migration"
@@ -37,7 +38,9 @@ func RunScheme(cfg config.Config, scheme migration.Kind, traces [][]trace.Record
 	if err := m.EnableValueTracking(g.Observe); err != nil {
 		return RunResult{}, err
 	}
-	m.EnableAudit()
+	if err := m.EnableAuditor(audit.Options{Mode: audit.Paranoid}); err != nil {
+		return RunResult{}, err
+	}
 	for h := 0; h < cfg.Hosts; h++ {
 		for c := 0; c < cfg.CoresPerHost; c++ {
 			m.SetTrace(h, c, trace.NewSliceReader(traces[h*cfg.CoresPerHost+c]))

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"pipm/internal/audit"
-	"pipm/internal/machine"
 	"pipm/internal/migration"
 	"pipm/internal/sim"
 	"pipm/internal/telemetry"
@@ -40,7 +39,7 @@ type goldenKeyEntry struct {
 
 // goldenKeyMatrix enumerates the request shapes whose keys are pinned: the
 // plain quick-sweep keys, each key-affecting knob varied one at a time, the
-// enabled-option variants (telemetry/audit/intra fold into the key only when
+// enabled-option variants (telemetry/audit fold into the key only when
 // on), and the canonicalized float encodings.
 func goldenKeyMatrix() []goldenKeyEntry {
 	o := QuickOptions()
@@ -87,10 +86,6 @@ func goldenKeyMatrix() []goldenKeyEntry {
 	audited := base
 	audited.Audit = audit.Options{Mode: audit.Quantum}
 	out = append(out, req("audit=quantum", audited))
-
-	intra := base
-	intra.Intra = machine.IntraOptions{Workers: 4}
-	out = append(out, req("intra=4", intra))
 
 	// Canonicalized float encodings: these names pin *aliasing*, not just
 	// values — the comparison below asserts -0.0/NaN-payload keys equal

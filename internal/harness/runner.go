@@ -60,14 +60,6 @@ type Options struct {
 	// unaudited one.
 	Audit audit.Options
 
-	// Intra selects the intra-run parallel engine (conservative PDES; see
-	// DESIGN.md §13) for every machine the suite builds. The zero value
-	// keeps the classic sequential engine and leaves run keys unchanged;
-	// enabled intra is folded into the key like Telemetry/Audit — results
-	// are bit-identical either way, but the engine configuration under test
-	// stays part of the run identity.
-	Intra machine.IntraOptions
-
 	// Store, when non-nil, is the persistent result store layered under the
 	// engine's in-memory memo (DESIGN.md §14): a memo miss consults the
 	// store before simulating, and completed simulations are written back so
@@ -180,13 +172,11 @@ func RunOneA(cfg config.Config, wl workload.Params, k migration.Kind, records, s
 type RunOpts struct {
 	Telemetry telemetry.Options
 	Audit     audit.Options
-	Intra     machine.IntraOptions
 }
 
 // RunOneOpts executes one simulation with the given optional subsystems
-// attached. Telemetry and audit are observers; intra parallelism changes
-// the engine but not one bit of the Result, the telemetry stream or the
-// audit report (DESIGN.md §13).
+// attached. Telemetry and audit are observers: neither changes one bit of
+// the Result.
 func RunOneOpts(cfg config.Config, wl workload.Params, k migration.Kind, records, seed int64,
 	o RunOpts) (Result, *telemetry.Output, audit.Report, error) {
 	if err := wl.Validate(); err != nil {
@@ -200,9 +190,6 @@ func RunOneOpts(cfg config.Config, wl workload.Params, k migration.Kind, records
 		return Result{}, nil, audit.Report{}, err
 	}
 	if err := m.EnableAuditor(o.Audit); err != nil {
-		return Result{}, nil, audit.Report{}, err
-	}
-	if err := m.EnableIntraParallel(o.Intra); err != nil {
 		return Result{}, nil, audit.Report{}, err
 	}
 	am := m.AddressMap()

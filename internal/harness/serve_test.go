@@ -48,10 +48,9 @@ func TestServeAuditedSmoke(t *testing.T) {
 
 // TestServeComparisonDeterministicAcrossWorkers renders the full
 // ServeComparison figure on a 1-worker engine and an 8-worker engine and
-// requires byte-identical tables — the engine-parallel half of the serve
-// determinism guarantee (the intra-parallel half lives in
-// TestIntraDeterminismMatrix). A reduced record budget keeps the double
-// sweep affordable; determinism is budget-independent.
+// requires byte-identical tables: the serve figure must not depend on the
+// engine's worker count. A reduced record budget keeps the double sweep
+// affordable; determinism is budget-independent.
 func TestServeComparisonDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double serve sweep is too slow for -short")

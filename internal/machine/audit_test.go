@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"pipm/internal/audit"
 	"pipm/internal/migration"
 )
 
@@ -18,7 +19,9 @@ func TestAuditCleanAcrossSchemes(t *testing.T) {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			m := build(t, testCfg(), k)
-			m.EnableAudit()
+			if err := m.EnableAuditor(audit.Options{Mode: audit.Paranoid}); err != nil {
+				t.Fatal(err)
+			}
 			attachContested(m, 25000) // heaviest sharing → hardest invariants
 			run(t, m)
 			if errs := m.AuditViolations(); len(errs) > 0 {
@@ -30,7 +33,9 @@ func TestAuditCleanAcrossSchemes(t *testing.T) {
 
 func TestAuditCleanOnPartitionedPIPM(t *testing.T) {
 	m := build(t, testCfg(), migration.PIPM)
-	m.EnableAudit()
+	if err := m.EnableAuditor(audit.Options{Mode: audit.Paranoid}); err != nil {
+		t.Fatal(err)
+	}
 	attachPartitioned(m, 40000)
 	run(t, m)
 	if errs := m.AuditViolations(); len(errs) > 0 {
@@ -45,7 +50,9 @@ func TestAuditCleanOnPartitionedPIPM(t *testing.T) {
 
 func TestAuditCleanWithHints(t *testing.T) {
 	m := build(t, testCfg(), migration.PIPM)
-	m.EnableAudit()
+	if err := m.EnableAuditor(audit.Options{Mode: audit.Paranoid}); err != nil {
+		t.Fatal(err)
+	}
 	cfg := m.Config()
 	if err := m.PinPage(0, 0); err != nil {
 		t.Fatal(err)
@@ -65,7 +72,9 @@ func TestAuditDetectsSeededCorruption(t *testing.T) {
 	// Prove the auditor can actually fail: corrupt the state mid-run by
 	// force-filling the same line Modified on two hosts.
 	m := build(t, testCfg(), migration.Native)
-	m.EnableAudit()
+	if err := m.EnableAuditor(audit.Options{Mode: audit.Paranoid}); err != nil {
+		t.Fatal(err)
+	}
 	attachContested(m, 25000)
 	am := m.AddressMap()
 	line := am.SharedAddr(0).Line()

@@ -48,14 +48,6 @@ type coreState struct {
 	pendingMgmt     sim.Time
 	pendingTransfer sim.Time
 
-	// Trace prefetch ring (intra-parallel runs only; see intra.go): prepare
-	// workers refill it between commit windows so record generation runs off
-	// the serial commit loop. nil when intra parallelism is disabled.
-	ring     []trace.Record
-	ringHead int
-	ringLen  int
-	srcDone  bool // rd returned !ok; the ring holds the tail
-
 	instr  int64
 	memOps int64
 	finish sim.Time
@@ -136,7 +128,7 @@ func (m *Machine) stepCore(c *coreState) {
 			c.hasPendingRec = false
 		} else {
 			var ok bool
-			rec, ok = c.nextRec()
+			rec, ok = c.rd.Next()
 			if !ok {
 				c.done = true
 				m.liveCores--

@@ -503,6 +503,32 @@ func TestExpand(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnknownFields pins the strict decoder: a spec field the
+// service no longer knows fails the submission with 400, so an old client
+// fails loudly instead of having its knob silently dropped from the sweep.
+func TestSubmitRejectsUnknownFields(t *testing.T) {
+	svc := newTestService(t, false)
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	body := `{"quick":true,"workloads":["pr"],"schemes":["native"],"records":2000,"intra_workers":4}`
+	resp, err := http.Post(srv.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/sweeps: %v", err)
+	}
+	raw, _ := readAll(resp)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, raw)
+	}
+	var e apiError
+	if err := json.Unmarshal(raw, &e); err != nil {
+		t.Fatalf("decode error body %q: %v", raw, err)
+	}
+	if !strings.Contains(e.Error, "bad sweep spec") || !strings.Contains(e.Error, "unknown field") {
+		t.Fatalf("error = %q, want a bad sweep spec rejecting an unknown field", e.Error)
+	}
+}
+
 // TestJobTableEviction caps the job table at 2 and walks three sweeps
 // through it: the least-recently-accessed finished job is evicted on the
 // third submission, a status read refreshes a job's recency, live jobs and

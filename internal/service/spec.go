@@ -1,7 +1,7 @@
 // Package service is the experiment service: a long-running HTTP daemon in
 // front of the harness run-graph engine and the persistent result store
 // (DESIGN.md §15). Clients submit sweep specifications (workloads × schemes
-// × budget, plus the optional telemetry/audit/intra subsystems), the service
+// × budget, plus the optional telemetry/audit subsystems), the service
 // expands them into canonical RunRequests and executes them on one shared
 // harness.Runner — so concurrent identical submissions dedupe through the
 // engine's singleflight memo, a warm store answers repeats from disk, and a
@@ -20,7 +20,6 @@ import (
 
 	"pipm/internal/audit"
 	"pipm/internal/harness"
-	"pipm/internal/machine"
 	"pipm/internal/migration"
 	"pipm/internal/sim"
 	"pipm/internal/telemetry"
@@ -62,10 +61,6 @@ type SweepSpec struct {
 	// or "paranoid". Audited runs always execute — they bypass the result
 	// store in both directions.
 	Audit string `json:"audit,omitempty"`
-
-	// IntraWorkers > 0 runs each simulation on the intra-run parallel
-	// engine (PDES) with that many prepare workers.
-	IntraWorkers int `json:"intra_workers,omitempty"`
 }
 
 // SweepRun is one expanded run of a sweep: the full request plus the
@@ -132,11 +127,6 @@ func Expand(spec SweepSpec, maxRuns int) (runs []SweepRun, id string, err error)
 		aopt.Mode = mode
 	}
 
-	var iopt machine.IntraOptions
-	if spec.IntraWorkers > 0 {
-		iopt.Workers = spec.IntraWorkers
-	}
-
 	wls := base.Workloads
 	if len(spec.Workloads) > 0 {
 		wls = wls[:0:0]
@@ -166,7 +156,7 @@ func Expand(spec SweepSpec, maxRuns int) (runs []SweepRun, id string, err error)
 		for _, k := range kinds {
 			req := harness.RunRequest{
 				Cfg: cfg, WL: wl, Scheme: k, Records: records, Seed: seed,
-				Telemetry: topt, Audit: aopt, Intra: iopt,
+				Telemetry: topt, Audit: aopt,
 			}
 			key := req.Key().String()
 			if seen[key] {
