@@ -446,7 +446,7 @@ func run(w io.Writer, s *pipm.Suite, opt pipm.SuiteOptions, id string) error {
 				if ext {
 					name = "MSI+PIPM"
 				}
-				res, v := pipm.VerifyCoherence(hosts, ext)
+				res, v := pipm.VerifyCoherence(hosts, 1, ext)
 				if v != nil {
 					return fmt.Errorf("%s/%d hosts: %v", name, hosts, v)
 				}

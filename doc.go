@@ -23,7 +23,8 @@
 //     thirteen Pin-traced benchmarks.
 //   - An experiment harness (NewSuite) that regenerates every table and
 //     figure of the paper's evaluation, plus a Murφ-style model checker
-//     (VerifyCoherence) for the PIPM protocol itself.
+//     (VerifyCoherence, 2–4 hosts × 1–2 lines of one page) for the PIPM
+//     protocol itself.
 //
 // Quick start:
 //

@@ -2,9 +2,9 @@ package check
 
 import "testing"
 
-func BenchmarkModelCheckPIPM3Hosts(b *testing.B) {
+func BenchmarkModelCheck4Hosts2Lines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, v := Run(Options{Hosts: 3, PIPM: true}); v != nil {
+		if _, v := Run(Options{Hosts: 4, Lines: 2, PIPM: true}); v != nil {
 			b.Fatal(v)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"pipm/internal/audit"
 	"pipm/internal/migration"
-	"pipm/internal/telemetry"
 )
 
 // The auditor must be a pure observer: attaching it may not perturb a
@@ -51,7 +50,7 @@ func TestAuditorObservationOnly(t *testing.T) {
 		}
 		want := DigestResult(bare)
 		for _, am := range modesFor(k) {
-			res, _, rep, err := RunOneA(o.Cfg, wl, k, o.RecordsPerCore, o.Seed, telemetry.Options{}, am.WithDefaults())
+			res, _, rep, err := RunOneOpts(o.Cfg, wl, k, o.RecordsPerCore, o.Seed, RunOpts{Audit: am.WithDefaults()})
 			if err != nil {
 				t.Fatalf("%v %v: %v", k, am.Mode, err)
 			}
@@ -78,11 +77,11 @@ func TestAuditedRunDeterminism(t *testing.T) {
 	wl := o.Workloads[0]
 	aopt := audit.Options{Mode: audit.Quantum}.WithDefaults()
 
-	r1, _, rep1, err := RunOneA(o.Cfg, wl, migration.PIPM, o.RecordsPerCore, o.Seed, telemetry.Options{}, aopt)
+	r1, _, rep1, err := RunOneOpts(o.Cfg, wl, migration.PIPM, o.RecordsPerCore, o.Seed, RunOpts{Audit: aopt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, rep2, err := RunOneA(o.Cfg, wl, migration.PIPM, o.RecordsPerCore, o.Seed, telemetry.Options{}, aopt)
+	r2, _, rep2, err := RunOneOpts(o.Cfg, wl, migration.PIPM, o.RecordsPerCore, o.Seed, RunOpts{Audit: aopt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,27 +144,8 @@ type Result struct {
 
 // RunOne executes a single (config, workload, scheme) simulation.
 func RunOne(cfg config.Config, wl workload.Params, k migration.Kind, records, seed int64) (Result, error) {
-	r, _, err := RunOneT(cfg, wl, k, records, seed, telemetry.Options{})
+	r, _, _, err := RunOneOpts(cfg, wl, k, records, seed, RunOpts{})
 	return r, err
-}
-
-// RunOneT is RunOne with telemetry: when topt is enabled the machine collects
-// the configured time-series and/or event trace and returns it alongside the
-// Result (nil when disabled). Telemetry does not change the Result.
-func RunOneT(cfg config.Config, wl workload.Params, k migration.Kind, records, seed int64,
-	topt telemetry.Options) (Result, *telemetry.Output, error) {
-	r, out, _, err := RunOneA(cfg, wl, k, records, seed, topt, audit.Options{})
-	return r, out, err
-}
-
-// RunOneA is RunOneT with the runtime invariant auditor: when aopt is enabled
-// the machine sweeps its protocol state during the run and the returned
-// Report carries any violations (Report.Err() is nil on a clean run). The
-// auditor is observation-only, so the Result — and the telemetry stream — are
-// bit-identical to an unaudited run's.
-func RunOneA(cfg config.Config, wl workload.Params, k migration.Kind, records, seed int64,
-	topt telemetry.Options, aopt audit.Options) (Result, *telemetry.Output, audit.Report, error) {
-	return RunOneOpts(cfg, wl, k, records, seed, RunOpts{Telemetry: topt, Audit: aopt})
 }
 
 // RunOpts bundles every optional subsystem a single run can attach. Each

@@ -30,7 +30,7 @@ func TestTelemetryResultInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	instrumented, tout, err := RunOneT(o.Cfg, wl, migration.PIPM, o.RecordsPerCore, o.Seed, o.Telemetry)
+	instrumented, tout, _, err := RunOneOpts(o.Cfg, wl, migration.PIPM, o.RecordsPerCore, o.Seed, RunOpts{Telemetry: o.Telemetry})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,8 @@ type TelemetryOutput = telemetry.Output
 // nil when topt is disabled; telemetry never changes the Result.
 func RunWithTelemetry(cfg Config, wl Workload, s Scheme, records, seed int64,
 	topt TelemetryOptions) (Result, *TelemetryOutput, error) {
-	return harness.RunOneT(cfg, wl, s, records, seed, topt)
+	r, out, _, err := harness.RunOneOpts(cfg, wl, s, records, seed, RunOptions{Telemetry: topt})
+	return r, out, err
 }
 
 // RunOptions bundles the optional per-run subsystems: telemetry collection
@@ -361,23 +362,10 @@ type CheckResult = check.Result
 type CheckViolation = check.Violation
 
 // VerifyCoherence exhaustively model-checks the coherence protocol on a
-// small instance (the paper's §5.1.4 Murφ methodology): hosts ∈ {2,3};
+// small instance (the paper's §5.1.4 Murφ methodology): hosts ∈ [2,4]
+// sharing lines ∈ [1,2] of one page, coupled through promote/revoke;
 // pipmExtension selects base MSI (false) or MSI+PIPM (true). It returns the
 // exploration summary and the first invariant violation found, if any.
-func VerifyCoherence(hosts int, pipmExtension bool) (CheckResult, *CheckViolation) {
-	return check.Run(check.Options{Hosts: hosts, PIPM: pipmExtension})
-}
-
-// ParallelCheckResult summarizes a sharded parallel model-checking run.
-type ParallelCheckResult = check.PResult
-
-// ParallelCheckViolation is an invariant failure from the parallel checker.
-type ParallelCheckViolation = check.PViolation
-
-// VerifyCoherenceParallel model-checks the generalized protocol instance —
-// hosts ∈ [2,4], lines ∈ [1,2] of one page coupled through promote/revoke —
-// with the sharded worker-pool BFS of internal/check. workers ≤ 0 uses
-// GOMAXPROCS. Results are deterministic for any worker count.
-func VerifyCoherenceParallel(hosts, lines int, pipmExtension bool, workers int) (ParallelCheckResult, *ParallelCheckViolation) {
-	return check.PRun(check.POptions{Hosts: hosts, Lines: lines, PIPM: pipmExtension, Workers: workers})
+func VerifyCoherence(hosts, lines int, pipmExtension bool) (CheckResult, *CheckViolation) {
+	return check.Run(check.Options{Hosts: hosts, Lines: lines, PIPM: pipmExtension})
 }

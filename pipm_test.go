@@ -92,7 +92,7 @@ func TestMachineDirectUse(t *testing.T) {
 
 func TestVerifyCoherence(t *testing.T) {
 	for _, ext := range []bool{false, true} {
-		res, v := pipm.VerifyCoherence(2, ext)
+		res, v := pipm.VerifyCoherence(2, 1, ext)
 		if v != nil {
 			t.Fatalf("pipm=%v: %v", ext, v)
 		}
